@@ -249,6 +249,8 @@ let fw_alloc_stats ~pushes ~cold =
 
 let run_fw scale =
   Report.section "BENCH-MICRO-FW: cold vs warm fixed-window refresh";
+  Report.note "host: %d cores, OCaml %s, profile %s" (Domain.recommended_domain_count ())
+    Sys.ocaml_version Build_info.profile;
   let quota, windows, counter_window, pushes =
     match scale with
     | Bench_config.Small -> (0.25, [ 256; 1024 ], 1024, 4)
@@ -323,6 +325,13 @@ let run_fw scale =
   Report.json_add "fixed_window"
     (Report.Jobj
        [
+         ( "host",
+           Report.Jobj
+             [
+               ("cores", Report.Jint (Domain.recommended_domain_count ()));
+               ("profile", Report.Jstring Build_info.profile);
+               ("ocaml", Report.Jstring Sys.ocaml_version);
+             ] );
          ("bench_params", Report.Jobj [ ("buckets", Report.Jint buckets); ("epsilon", Report.Jfloat epsilon) ]);
          ("benchmarks", bench_json);
          ("registry", Report.registry_json ());

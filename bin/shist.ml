@@ -370,7 +370,11 @@ let serve_cmd =
       value
       & opt policy_conv (Stream_histogram.Params.Every 256)
       & info [ "refresh" ] ~docv:"POLICY"
-          ~doc:"Per-shard rebuild policy: eager | lazy | every:K (K >= 1).")
+          ~doc:
+            "Per-shard rebuild policy: $(b,eager) rebuilds once per applied slice, which \
+             here means once per shard per batch (not once per point); $(b,lazy) only at \
+             queries; $(b,every:K) with K >= 1 once K points have arrived since the last \
+             rebuild, checked at the end of each batch.")
   in
   let dist =
     Arg.(

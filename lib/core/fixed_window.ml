@@ -42,17 +42,181 @@ type work_counters = {
    without warm-start hints, or query-time reads. *)
 type mode = Cold_rebuild | Warm_rebuild | Query
 
+(* Work tallies: slots of [t.tally], plain ints bumped inside the kernel
+   loops.  They are cumulative per instance (work_counters reads them
+   directly) and are flushed as deltas into the process-wide fw.* series
+   below once per public entry point, so no probe pays a registry store. *)
+let w_evals = 0
+let w_cold_evals = 1
+let w_warm_evals = 2
+let w_built = 3
+let w_refreshes = 4
+let w_cold_refreshes = 5
+let w_warm_refreshes = 6
+let w_steps = 7
+let w_scan_steps = 8
+let w_hits = 9
+let w_misses = 10
+let w_memo_probes = 11
+let w_memo_hits = 12
+
+(* The fw.* series, registered once per process and indexed by tally
+   slot.  They carry no instance label: summaries are created per shard,
+   per restore and per decoded snapshot, and per-instance series would
+   pin registry entries for every one of them. *)
+let fw_counters =
+  Array.map Obs.counter
+    [| "fw.herror_evals"; "fw.cold_evals"; "fw.warm_evals"; "fw.intervals_built";
+       "fw.refreshes"; "fw.cold_refreshes"; "fw.warm_refreshes"; "fw.search_steps";
+       "fw.scan_steps"; "fw.hint_hits"; "fw.hint_misses"; "fw.memo_probes";
+       "fw.memo_hits" |]
+
+let g_length = Obs.gauge "fw.window_length"
+let g_alloc = Obs.gauge "fw.alloc_words_per_push"
+
+(* --- the scan kernel ---------------------------------------------------- *)
+
+(* The kernel reads the window through flat cumulative arrays: [sum.(i)]
+   is the raw cumulative sum at window-relative index i in [0 .. n]
+   (0 = the sentinel before the oldest point), as copied out of the
+   sliding ring by [Sliding_prefix.blit_cumulative].  The live summary
+   refreshes its copy at the start of every rebuild; a view holds its
+   own.  Both run the same functions below, so view answers are
+   bit-identical to live ones by construction.
+
+   SQERROR(lo, hi): [Sliding_prefix.sqerror]'s guard, subtraction order and
+   clamp on the same values, hence the same bits.  Inlined into the scan
+   loops so the whole computation stays in float registers (a float
+   return from a non-inlined call would be boxed).  Callers keep indices
+   in [1 .. n]. *)
+let[@inline] sqerror sum sqsum ~lo ~hi =
+  if lo > hi then 0.0
+  else begin
+    let s = Array.unsafe_get sum hi -. Array.unsafe_get sum (lo - 1) in
+    let q = Array.unsafe_get sqsum hi -. Array.unsafe_get sqsum (lo - 1) in
+    let n = Float.of_int (hi - lo + 1) in
+    (* branch instead of Float.max, which would box (NaN cannot reach
+       here: pushes reject non-finite values) *)
+    let d = q -. (s *. s /. n) in
+    if d > 0.0 then d else 0.0
+  end
+
+(* Out-params of [scan]: a (value, split) return pair would box the float
+   on every evaluation, and so would a float field of a mixed record, so
+   the value travels through a one-slot float array. *)
+type scan_out = {
+  best : float array; (* slot 0: the best candidate value *)
+  mutable best_i : int; (* its split position *)
+  mutable steps : int; (* binary-search probes this scan executed *)
+}
+
+let scan_out () = { best = [| 0.0 |]; best_i = 0; steps = 0 }
+
+(* Candidate scan: the approximate HERROR[x, k] for the window, read off
+   the level-(k-1) list given by its columns ([len] live rows), with the
+   split position achieving it.  Requires k >= 2 and k < x.
+
+   Candidates are the objective evaluated at list endpoints b < x, plus —
+   when the interval covering x-1 extends to or past x — that interval's
+   endpoint herror standing in for the "split at x-1" candidate
+   (monotonicity makes it an upper bound on HERROR[x-1, k-1], and the
+   interval invariant keeps it within (1 + delta) of it).
+
+   Both ends of the scan are pruned by binary search instead of walking the
+   list from entry 0: the covering entry is located directly on the sorted
+   b_idx column, and — seeding the running best with its proxy candidate —
+   entries whose SQERROR term alone already reaches that bound are skipped
+   (SQERROR(b+1, x) only shrinks along the list, so they form a prefix). *)
+let scan ~sum ~sqsum ~a_idx ~b_idx ~b_her ~len ~x o =
+  let steps = ref 0 in
+  (* covering entry: first row with b_idx >= x *)
+  let lo = ref 0 and hi = ref len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    incr steps;
+    if Array.unsafe_get b_idx mid >= x then hi := mid else lo := mid + 1
+  done;
+  let cover = !lo in
+  let best = ref infinity in
+  let best_i = ref (x - 1) in
+  if cover < len && Array.unsafe_get a_idx cover <= x - 1 then begin
+    best := Array.unsafe_get b_her cover;
+    best_i := x - 1
+  end;
+  let first =
+    if cover = 0 || !best = infinity then 0
+    else begin
+      let lo = ref 0 and hi = ref cover in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        incr steps;
+        if sqerror sum sqsum ~lo:(Array.unsafe_get b_idx mid + 1) ~hi:x < !best then
+          hi := mid
+        else lo := mid + 1
+      done;
+      !lo
+    end
+  in
+  let i = ref first in
+  let continue = ref true in
+  while !continue && !i < cover do
+    let bh = Array.unsafe_get b_her !i in
+    (* Early exit: stored herror values are non-decreasing along the list,
+       so once one alone reaches the current best, no later candidate
+       (herror + non-negative SQERROR) can improve it. *)
+    if bh >= !best then continue := false
+    else begin
+      let b = Array.unsafe_get b_idx !i in
+      let cand = bh +. sqerror sum sqsum ~lo:(b + 1) ~hi:x in
+      if cand < !best then begin
+        best := cand;
+        best_i := b
+      end;
+      incr i
+    end
+  done;
+  Array.unsafe_set o.best 0 !best;
+  o.best_i <- !best_i;
+  o.steps <- !steps
+
+(* The histogram of [1 .. n] given [split ~k ~x], the best split position
+   for the last bucket of a k-bucket histogram of [1 .. x].  Right
+   endpoints are recovered top-down: split off the last bucket at each
+   level, then recurse on the remaining prefix with one fewer bucket.
+   Bucket values are exact range means over the flat cumulative sums. *)
+let histogram_of ~n ~b ~sum ~split =
+  let rec boundaries x k acc =
+    if x <= 0 then acc
+    else if k <= 1 then x :: acc
+    else if x <= k then begin
+      (* x points fit in x singleton buckets at zero error *)
+      let acc = ref acc in
+      for i = x downto 1 do
+        acc := i :: !acc
+      done;
+      !acc
+    end
+    else boundaries (split ~k ~x) (k - 1) (x :: acc)
+  in
+  let ends = Array.of_list (boundaries n b []) in
+  let bucket_of i hi =
+    let lo = if i = 0 then 1 else ends.(i - 1) + 1 in
+    let value = (sum.(hi) -. sum.(lo - 1)) /. Float.of_int (hi - lo + 1) in
+    { Histogram.lo; hi; value }
+  in
+  Histogram.make ~n (Array.mapi bucket_of ends)
+
+(* --- live summary ------------------------------------------------------- *)
+
 (* Slots of the float scratch column (see [fs] below): unboxed out-params
-   for the hot internal calls, which would otherwise box a float (or a
-   tuple) per return.  Mixed records box float fields on every store, so
-   the scratch lives in a flat float array instead. *)
+   for the hot internal calls, which would otherwise box a float per
+   return.  Mixed records box float fields on every store, so the scratch
+   lives in a flat float array instead. *)
 let fs_eval = 0 (* eval_herror_into result              *)
-let fs_scan = 1 (* scan_candidates best candidate value *)
-let fs_bnd = 2 (* find_boundary herror at the boundary *)
-let fs_tmp = 3 (* sqerror_into scratch inside scans    *)
-let fs_hstart = 4 (* find_boundary in-param: HERROR at the interval start *)
-let fs_thresh = 5 (* find_boundary in-param: (1 + delta) * h_start        *)
-let fs_len = 6
+let fs_bnd = 1 (* find_boundary herror at the boundary *)
+let fs_hstart = 2 (* find_boundary in-param: HERROR at the interval start *)
+let fs_thresh = 3 (* find_boundary in-param: (1 + delta) * h_start        *)
+let fs_len = 4
 
 type t = {
   params : Params.t;
@@ -63,17 +227,23 @@ type t = {
      two arrays are swapped at every refresh instead of reallocating. *)
   mutable queues : Soa.t array;
   mutable prev_queues : Soa.t array;
-  (* Per-refresh HERROR memo: caches eval_herror results under packed
-     (k, x) int keys for the duration of one refresh generation, so
-     gallop/bisect searches never re-pay for a position another search of
-     the same rebuild (or a query against the same window) already
-     evaluated.  Owned by [t] — part of the reusable refresh arena. *)
-  memo : Intmemo.t;
-  memo_stride : int; (* key = x * memo_stride + k, stride = buckets + 1 *)
+  (* Flat copy of the window's cumulative sums, indices 0 .. length, taken
+     at the start of every rebuild (window + 1 slots each).  Every SQERROR
+     of rebuilds and live queries subtracts over these. *)
+  sum : float array;
+  sqsum : float array;
+  (* Per-level HERROR memo: [memo_val.(x)] holds HERROR[x, k] for the
+     generation and level stamped in [memo_tag.(x)] (gen * memo_stride + k).
+     A rebuild probes level k only while building list k, so one slot per
+     position replays a full (k, x) table's hits exactly, in O(window)
+     space.  Bumping the generation invalidates every slot. *)
+  memo_val : float array;
+  memo_tag : int array;
+  memo_stride : int; (* buckets + 1 *)
   mutable memo_on : bool;  (* master switch (set_memoisation)          *)
   mutable use_memo : bool; (* consulted by eval_herror_into            *)
   fs : float array; (* float out-param scratch, see fs_* slots *)
-  mutable scan_best_i : int; (* scan_candidates argmin out-param  *)
+  so : scan_out;    (* scan out-params *)
   mutable bnd_c : int;       (* find_boundary boundary out-param  *)
   mutable gauge_len : int;   (* last length stored in g_length    *)
   mutable gen : int;  (* refresh generation: bumped once per rebuild, the
@@ -86,26 +256,8 @@ type t = {
                           prev_queues coordinates have shifted *)
   mutable pushes_since_refresh : int;
   mutable mode : mode;
-  (* Work accounting lives in per-instance registry counters (labelled
-     instance="fw<i>") so the same tallies back work_counters, the
-     exposition sinks, and per-span deltas.  The handles are registered
-     once at creation; recording is a single int store, unconditionally
-     live (see Sh_obs.Obs on the overhead model). *)
-  c_evals : M.counter;
-  c_cold_evals : M.counter;
-  c_warm_evals : M.counter;
-  c_built : M.counter;
-  c_refreshes : M.counter;
-  c_cold_refreshes : M.counter;
-  c_warm_refreshes : M.counter;
-  c_steps : M.counter;
-  c_scan_steps : M.counter;
-  c_hits : M.counter;
-  c_misses : M.counter;
-  c_memo_probes : M.counter;
-  c_memo_hits : M.counter;
-  g_length : M.gauge;
-  g_alloc : M.gauge;
+  tally : int array;   (* work tallies, see w_* slots *)
+  flushed : int array; (* tally values already added to fw_counters *)
 }
 
 (* Shared constructor: everything but [params] and the prefix-sum state is
@@ -113,19 +265,22 @@ type t = {
    full summary from just those two (plus a cold refresh). *)
 let mk ~params ~sp =
   let buckets = params.Params.buckets in
-  let labels = [ ("instance", Obs.instance "fw") ] in
-  let c name = Obs.counter ~labels name in
+  let slots = Sliding_prefix.capacity sp + 1 in
+  let ntally = Array.length fw_counters in
   {
     params;
     sp;
     queues = Array.init (max 1 (buckets - 1)) (fun _ -> new_list ());
     prev_queues = Array.init (max 1 (buckets - 1)) (fun _ -> new_list ());
-    memo = Intmemo.create ();
+    sum = Array.make slots 0.0;
+    sqsum = Array.make slots 0.0;
+    memo_val = Array.make slots 0.0;
+    memo_tag = Array.make slots (-1);
     memo_stride = buckets + 1;
     memo_on = true;
     use_memo = true;
     fs = Array.make fs_len 0.0;
-    scan_best_i = 0;
+    so = scan_out ();
     bnd_c = 0;
     gauge_len = -1;
     gen = 0;
@@ -135,21 +290,8 @@ let mk ~params ~sp =
     slide = 0;
     pushes_since_refresh = 0;
     mode = Query;
-    c_evals = c "fw.herror_evals";
-    c_cold_evals = c "fw.cold_evals";
-    c_warm_evals = c "fw.warm_evals";
-    c_built = c "fw.intervals_built";
-    c_refreshes = c "fw.refreshes";
-    c_cold_refreshes = c "fw.cold_refreshes";
-    c_warm_refreshes = c "fw.warm_refreshes";
-    c_steps = c "fw.search_steps";
-    c_scan_steps = c "fw.scan_steps";
-    c_hits = c "fw.hint_hits";
-    c_misses = c "fw.hint_misses";
-    c_memo_probes = c "fw.memo_probes";
-    c_memo_hits = c "fw.memo_hits";
-    g_length = Obs.gauge ~labels "fw.window_length";
-    g_alloc = Obs.gauge ~labels "fw.alloc_words_per_push";
+    tally = Array.make ntally 0;
+    flushed = Array.make ntally 0;
   }
 
 let create_with_delta ~window ~buckets ~epsilon ~delta =
@@ -181,130 +323,68 @@ let set_refresh_policy t policy =
   (* Reuse the Params validation (rejects [Every k] with k < 1). *)
   t.policy <- (Params.with_policy t.params policy).Params.policy
 
+let[@inline] bump t w n = Array.unsafe_set t.tally w (Array.unsafe_get t.tally w + n)
+
+(* Publish the tallies accrued since the last flush to the process-wide
+   series: at most one registry store per counter per public call. *)
+let flush t =
+  for w = 0 to Array.length t.tally - 1 do
+    let v = Array.unsafe_get t.tally w in
+    let d = v - Array.unsafe_get t.flushed w in
+    if d > 0 then begin
+      M.add fw_counters.(w) d;
+      Array.unsafe_set t.flushed w v
+    end
+  done
+
 let count_eval t =
-  M.incr t.c_evals;
+  bump t w_evals 1;
   match t.mode with
-  | Cold_rebuild -> M.incr t.c_cold_evals
-  | Warm_rebuild -> M.incr t.c_warm_evals
+  | Cold_rebuild -> bump t w_cold_evals 1
+  | Warm_rebuild -> bump t w_warm_evals 1
   | Query -> ()
 
-(* Candidate scan shared by [eval_herror_into] and [best_split]: the
-   approximate HERROR[x, k] for the current window, read off the
-   level-(k-1) list, with the split position achieving it.  Requires
-   k >= 2 and k < x.  Writes the best value to [fs.(fs_scan)] and its
-   split position to [scan_best_i] (out-params: a tuple return would box
-   the float on every evaluation).
-
-   Candidates are the objective evaluated at list endpoints b < x, plus —
-   when the interval covering x-1 extends to or past x — that interval's
-   endpoint herror standing in for the "split at x-1" candidate
-   (monotonicity makes it an upper bound on HERROR[x-1, k-1], and the
-   interval invariant keeps it within (1 + delta) of it).
-
-   Both ends of the scan are pruned by binary search instead of walking the
-   list from entry 0: the covering entry is located directly on the sorted
-   b_idx column, and — seeding the running best with its proxy candidate —
-   entries whose SQERROR term alone already reaches that bound are skipped
-   (SQERROR(b+1, x) only shrinks along the list, so they form a prefix).
-
-   Steps of both binary searches land in fw.search_steps (the legacy
-   total) and, separately, fw.scan_steps — so rebuild-probe work and
-   scan-internal work can be told apart (see work_counters). *)
-let scan_candidates t ~k ~x =
+(* [scan] over the live level-(k-1) list; results in [t.so].  Its probes
+   count toward search_steps (the legacy total) and, separately,
+   scan_steps, so rebuild-probe work and scan-internal work can be told
+   apart (see work_counters). *)
+let scan_level t ~k ~x =
   let q = t.queues.(k - 2) in
-  let len = Soa.length q in
-  let a_idx = Soa.icol q col_a and b_idx = Soa.icol q col_b in
-  let b_her = Soa.fcol q col_hb in
-  let steps = ref 0 in
-  (* covering entry: first row with b_idx >= x *)
-  let lo = ref 0 and hi = ref len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    incr steps;
-    if Array.unsafe_get b_idx mid >= x then hi := mid else lo := mid + 1
-  done;
-  let cover = !lo in
-  let best = ref infinity in
-  let best_i = ref (x - 1) in
-  if cover < len && Array.unsafe_get a_idx cover <= x - 1 then begin
-    best := Array.unsafe_get b_her cover;
-    best_i := x - 1
-  end;
-  (* SQERROR values flow through [fs.(fs_tmp)] (sqerror_into) rather than
-     function returns: under -opaque a cross-module float return is a
-     fresh boxed float per probe, which was the bulk of the kernel's
-     remaining allocation. *)
-  let first =
-    if cover = 0 || !best = infinity then 0
-    else begin
-      let lo = ref 0 and hi = ref cover in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        incr steps;
-        Sliding_prefix.sqerror_into t.sp ~lo:(Array.unsafe_get b_idx mid + 1) ~hi:x
-          t.fs fs_tmp;
-        if t.fs.(fs_tmp) < !best then hi := mid else lo := mid + 1
-      done;
-      !lo
-    end
-  in
-  M.add t.c_steps !steps;
-  M.add t.c_scan_steps !steps;
-  let i = ref first in
-  let continue = ref true in
-  while !continue && !i < cover do
-    let bh = Array.unsafe_get b_her !i in
-    (* Early exit: stored herror values are non-decreasing along the list,
-       so once one alone reaches the current best, no later candidate
-       (herror + non-negative SQERROR) can improve it. *)
-    if bh >= !best then continue := false
-    else begin
-      let b = Array.unsafe_get b_idx !i in
-      Sliding_prefix.sqerror_into t.sp ~lo:(b + 1) ~hi:x t.fs fs_tmp;
-      let cand = bh +. t.fs.(fs_tmp) in
-      if cand < !best then begin
-        best := cand;
-        best_i := b
-      end;
-      incr i
-    end
-  done;
-  t.fs.(fs_scan) <- !best;
-  t.scan_best_i <- !best_i
+  scan ~sum:t.sum ~sqsum:t.sqsum ~a_idx:(Soa.icol q col_a) ~b_idx:(Soa.icol q col_b)
+    ~b_her:(Soa.fcol q col_hb) ~len:(Soa.length q) ~x t.so;
+  bump t w_steps t.so.steps;
+  bump t w_scan_steps t.so.steps
 
 (* Approximate HERROR[x, k] for the current window, written to
    [fs.(fs_eval)].  When memoisation is on, the scan is paid at most once
    per (k, x) per refresh generation: the memo caches the final value, and
-   every evaluation still counts in fw.herror_evals (the legacy meaning —
-   logical evaluations requested, hits included), with fw.memo_probes /
-   fw.memo_hits recording the dedup separately. *)
+   every evaluation still counts in herror_evaluations (the legacy meaning
+   — logical evaluations requested, hits included), with memo_probes /
+   memo_hits recording the dedup separately. *)
 let eval_herror_into t ~k ~x =
   count_eval t;
-  if x <= 0 then t.fs.(fs_eval) <- 0.0
-  else if k >= x then t.fs.(fs_eval) <- 0.0 (* x points in >= x buckets: zero error *)
-  else if k = 1 then Sliding_prefix.sqerror_into t.sp ~lo:1 ~hi:x t.fs fs_eval
+  if x <= 0 || k >= x then t.fs.(fs_eval) <- 0.0 (* x points in >= x buckets: zero error *)
+  else if k = 1 then t.fs.(fs_eval) <- sqerror t.sum t.sqsum ~lo:1 ~hi:x
   else if t.use_memo then begin
-    M.incr t.c_memo_probes;
-    let key = (x * t.memo_stride) + k in
-    let slot = Intmemo.find_slot t.memo key in
-    if slot >= 0 then begin
-      M.incr t.c_memo_hits;
-      t.fs.(fs_eval) <- Array.unsafe_get (Intmemo.vals t.memo) slot
+    bump t w_memo_probes 1;
+    (* 0 < x <= length <= window: in bounds of the memo columns *)
+    let stamp = (t.gen * t.memo_stride) + k in
+    if Array.unsafe_get t.memo_tag x = stamp then begin
+      bump t w_memo_hits 1;
+      t.fs.(fs_eval) <- Array.unsafe_get t.memo_val x
     end
     else begin
-      scan_candidates t ~k ~x;
-      let best = t.fs.(fs_scan) in
+      scan_level t ~k ~x;
+      let best = Array.unsafe_get t.so.best 0 in
       let v = if best = infinity then 0.0 else best in
-      (* reserve + raw store rather than Intmemo.add: the float stays
-         unboxed on its way into the value column. *)
-      let s = Intmemo.reserve t.memo key in
-      Array.unsafe_set (Intmemo.vals t.memo) s v;
+      Array.unsafe_set t.memo_val x v;
+      Array.unsafe_set t.memo_tag x stamp;
       t.fs.(fs_eval) <- v
     end
   end
   else begin
-    scan_candidates t ~k ~x;
-    let best = t.fs.(fs_scan) in
+    scan_level t ~k ~x;
+    let best = Array.unsafe_get t.so.best 0 in
     t.fs.(fs_eval) <- (if best = infinity then 0.0 else best)
   end
 
@@ -322,9 +402,9 @@ let eval_herror_into t ~k ~x =
    arrivals) costs O(1) instead of O(log n).
 
    The shared bisect runs over refs seeded per branch; every probe is one
-   fw.search_steps increment plus one eval_herror (identical to the
-   pre-SoA implementation, so step counts match it exactly when
-   memoisation is off). *)
+   search step plus one eval_herror (identical to the pre-SoA
+   implementation, so step counts match it exactly when memoisation is
+   off). *)
 let find_boundary t ~k ~start ~hi ~hint =
   let h_start = t.fs.(fs_hstart) in
   let threshold = t.fs.(fs_thresh) in
@@ -336,7 +416,7 @@ let find_boundary t ~k ~start ~hi ~hint =
      let h_g =
        if g = start then h_start
        else begin
-         M.incr t.c_steps;
+         bump t w_steps 1;
          eval_herror_into t ~k ~x:g;
          t.fs.(fs_eval)
        end
@@ -346,7 +426,7 @@ let find_boundary t ~k ~start ~hi ~hint =
        let off = ref 1 and lo = ref g and h_lo = ref h_g and bad = ref (-1) in
        while !bad < 0 && g + !off <= hi do
          let p = g + !off in
-         M.incr t.c_steps;
+         bump t w_steps 1;
          eval_herror_into t ~k ~x:p;
          let hp = t.fs.(fs_eval) in
          if hp <= threshold then begin
@@ -365,7 +445,7 @@ let find_boundary t ~k ~start ~hi ~hint =
        let off = ref 1 and bad = ref g and lo = ref (-1) and h_lo = ref h_start in
        while !lo < 0 && g - !off > start do
          let p = g - !off in
-         M.incr t.c_steps;
+         bump t w_steps 1;
          eval_herror_into t ~k ~x:p;
          let hp = t.fs.(fs_eval) in
          if hp <= threshold then begin
@@ -390,7 +470,7 @@ let find_boundary t ~k ~start ~hi ~hint =
    end);
   while !b_lo < !b_hi do
     let mid = (!b_lo + !b_hi + 1) / 2 in
-    M.incr t.c_steps;
+    bump t w_steps 1;
     eval_herror_into t ~k ~x:mid;
     let hm = t.fs.(fs_eval) in
     if hm <= threshold then begin
@@ -399,8 +479,7 @@ let find_boundary t ~k ~start ~hi ~hint =
     end
     else b_hi := mid - 1
   done;
-  if hint <> min_int then
-    if !b_lo = hint then M.incr t.c_hits else M.incr t.c_misses;
+  if hint <> min_int then bump t (if !b_lo = hint then w_hits else w_misses) 1;
   t.bnd_c <- !b_lo;
   t.fs.(fs_bnd) <- !b_h
 
@@ -433,7 +512,7 @@ let create_list t ~k ~warm =
       (Soa.icol q col_b).(r) <- start;
       (Soa.fcol q col_ha).(r) <- t.fs.(fs_eval);
       (Soa.fcol q col_hb).(r) <- t.fs.(fs_eval);
-      M.incr t.c_built;
+      bump t w_built 1;
       a := n + 1
     end
     else begin
@@ -457,7 +536,7 @@ let create_list t ~k ~warm =
       (Soa.icol q col_b).(r) <- c;
       (Soa.fcol q col_ha).(r) <- t.fs.(fs_hstart);
       (Soa.fcol q col_hb).(r) <- t.fs.(fs_bnd);
-      M.incr t.c_built;
+      bump t w_built 1;
       a := c + 1
     end
   done
@@ -468,9 +547,10 @@ let do_refresh t ~warm =
   let tmp = t.queues in
   t.queues <- t.prev_queues;
   t.prev_queues <- tmp;
-  (* O(1) memo clear: a new generation invalidates every cached HERROR
-     without touching the arena. *)
-  Intmemo.next_generation t.memo;
+  (* The new generation also clears the memo in O(1): every slot's stamp
+     names an older one. *)
+  t.gen <- t.gen + 1;
+  Sliding_prefix.blit_cumulative t.sp ~sum:t.sum ~sqsum:t.sqsum;
   t.mode <- (if warm then Warm_rebuild else Cold_rebuild);
   let b = buckets t in
   if length t > 0 then
@@ -481,9 +561,9 @@ let do_refresh t ~warm =
   t.dirty <- false;
   t.slide <- 0;
   t.pushes_since_refresh <- 0;
-  t.gen <- t.gen + 1;
-  M.incr t.c_refreshes;
-  if warm then M.incr t.c_warm_refreshes else M.incr t.c_cold_refreshes
+  bump t w_refreshes 1;
+  bump t (if warm then w_warm_refreshes else w_cold_refreshes) 1;
+  flush t
 
 let refresh ?(cold = false) ?memo t =
   if t.dirty then begin
@@ -497,7 +577,7 @@ let refresh ?(cold = false) ?memo t =
       let pushes = Float.of_int (max 1 t.pushes_since_refresh) in
       let w0 = Gc.minor_words () in
       Obs.with_span "fw.refresh" (fun () -> do_refresh t ~warm);
-      M.set t.g_alloc ((Gc.minor_words () -. w0) /. pushes)
+      M.set g_alloc ((Gc.minor_words () -. w0) /. pushes)
     end
     else do_refresh t ~warm;
     (* Queries against the unchanged window may keep hitting this
@@ -516,7 +596,7 @@ let push t v =
        constant, so skipping the redundant store keeps steady-state push
        allocation at zero. *)
     t.gauge_len <- len;
-    M.set t.g_length (Float.of_int len)
+    M.set g_length (Float.of_int len)
   end;
   t.dirty <- true;
   t.pushes_since_refresh <- t.pushes_since_refresh + 1;
@@ -553,7 +633,7 @@ let push_slice_named t vs ~pos ~len ~name =
     let n = Sliding_prefix.length t.sp in
     if n <> t.gauge_len then begin
       t.gauge_len <- n;
-      M.set t.g_length (Float.of_int n)
+      M.set g_length (Float.of_int n)
     end;
     t.dirty <- true;
     t.pushes_since_refresh <- t.pushes_since_refresh + len;
@@ -574,6 +654,7 @@ let push_and_refresh t v =
 let current_error t =
   refresh t;
   eval_herror_into t ~k:(buckets t) ~x:(length t);
+  flush t;
   t.fs.(fs_eval)
 
 let herror t ~k ~x =
@@ -581,68 +662,41 @@ let herror t ~k ~x =
   if x < 0 || x > length t then invalid_arg "Fixed_window.herror: x out of range";
   refresh t;
   eval_herror_into t ~k ~x;
+  flush t;
   t.fs.(fs_eval)
-
-(* Best split position for the last bucket of a k-bucket histogram of
-   [1 .. x]: the argmin counterpart of [eval_herror_into].  Returns the
-   chosen i (last bucket is [i+1 .. x]), in [1 .. x-1].  Runs the scan
-   directly — the memo caches only values, not argmins. *)
-let best_split t ~k ~x =
-  count_eval t;
-  scan_candidates t ~k ~x;
-  t.scan_best_i
 
 let current_histogram t =
   refresh t;
   let n = length t in
   if n = 0 then invalid_arg "Fixed_window.current_histogram: empty window";
   Obs.with_span "fw.histogram" @@ fun () ->
-  let b = buckets t in
-  (* Recover right endpoints top-down: split off the last bucket at each
-     level, then recurse on the remaining prefix with one fewer bucket. *)
-  let rec boundaries x k acc =
-    if x <= 0 then acc
-    else if k <= 1 || x <= k then begin
-      (* Either a single remaining bucket, or x points fit in x singleton
-         buckets at zero error. *)
-      if k <= 1 then x :: acc
-      else begin
-        let acc = ref acc in
-        for i = x downto 1 do
-          acc := i :: !acc
-        done;
-        !acc
-      end
-    end
-    else begin
-      let i = best_split t ~k ~x in
-      boundaries i (k - 1) (x :: acc)
-    end
+  (* Split positions are argmins, which the memo (values only) does not
+     cache: each one runs the scan directly. *)
+  let split ~k ~x =
+    count_eval t;
+    scan_level t ~k ~x;
+    t.so.best_i
   in
-  let ends = Array.of_list (boundaries n b []) in
-  let bucket_of i hi =
-    let lo = if i = 0 then 1 else ends.(i - 1) + 1 in
-    { Histogram.lo; hi; value = Sliding_prefix.range_mean t.sp ~lo ~hi }
-  in
-  Histogram.make ~n (Array.mapi bucket_of ends)
+  let h = histogram_of ~n ~b:(buckets t) ~sum:t.sum ~split in
+  flush t;
+  h
 
-(* Compatibility view over the registry-backed counters: same record, same
-   values as the pre-registry private fields. *)
 let work_counters t =
+  let v w = t.tally.(w) in
   {
-    herror_evaluations = M.value t.c_evals;
-    cold_evaluations = M.value t.c_cold_evals;
-    warm_evaluations = M.value t.c_warm_evals;
-    intervals_built = M.value t.c_built;
-    refreshes = M.value t.c_refreshes;
-    cold_refreshes = M.value t.c_cold_refreshes;
-    warm_refreshes = M.value t.c_warm_refreshes;
-    search_steps = M.value t.c_steps;
-    scan_steps = M.value t.c_scan_steps;
-    hint_hits = M.value t.c_hits;
-    hint_misses = M.value t.c_misses;
-    memo_probes = M.value t.c_memo_probes;
-    memo_hits = M.value t.c_memo_hits;
+    herror_evaluations = v w_evals;
+    cold_evaluations = v w_cold_evals;
+    warm_evaluations = v w_warm_evals;
+    intervals_built = v w_built;
+    refreshes = v w_refreshes;
+    cold_refreshes = v w_cold_refreshes;
+    warm_refreshes = v w_warm_refreshes;
+    search_steps = v w_steps;
+    scan_steps = v w_scan_steps;
+    hint_hits = v w_hits;
+    hint_misses = v w_misses;
+    memo_probes = v w_memo_probes;
+    memo_hits = v w_memo_hits;
   }
 
 let interval_counts t =
@@ -662,13 +716,13 @@ let intervals t ~k =
 (* --- published read views -------------------------------------------- *)
 
 (* A [View.t] is a compact immutable copy of everything a query needs —
-   raw cumulative prefix sums, the endpoint columns of the interval lists,
+   the flat cumulative sums, the endpoint columns of the interval lists,
    precomputed whole-window answers — cut from a refreshed summary by
    {!view}.  Readers on other domains evaluate against the copy alone:
-   no telemetry stores, no scratch slots, no memo writes, no access to the
-   live [t].  Every float operation below mirrors the corresponding live
-   kernel operation on the same values in the same order, so view answers
-   are bit-identical to querying the quiesced live summary at the same
+   no telemetry stores, no shared scratch, no memo writes, no access to
+   the live [t].  Evaluation runs the live kernel's own [scan] and
+   [sqerror] over arrays holding the same values, so view answers are
+   bit-identical to querying the quiesced live summary at the same
    generation (pinned by the snapshot-equivalence property tests). *)
 module View = struct
   type t = {
@@ -677,10 +731,7 @@ module View = struct
     n : int;    (* window length *)
     b : int;    (* buckets *)
     eps : float;
-    (* Raw cumulative sums for window-relative indices 0 .. n, copied
-       verbatim from the sliding ring (index 0 is the sentinel before the
-       oldest point).  Live range sums subtract exactly these values, so
-       subtracting the copies reproduces them bit for bit. *)
+    (* The live summary's flat cumulative sums, trimmed to 0 .. n. *)
     sum : float array;
     sqsum : float array;
     (* Level-k interval list endpoints (level k at index k - 1, for
@@ -699,75 +750,21 @@ module View = struct
   let buckets v = v.b
   let epsilon v = v.eps
 
-  (* [Sliding_prefix.sqerror] over the copied cumulatives: same guard,
-     same subtraction order, same clamp. *)
-  let sqerror v ~lo ~hi =
-    if lo > hi then 0.0
-    else begin
-      let s = v.sum.(hi) -. v.sum.(lo - 1) in
-      let q = v.sqsum.(hi) -. v.sqsum.(lo - 1) in
-      let n = Float.of_int (hi - lo + 1) in
-      let d = q -. (s *. s /. n) in
-      if d > 0.0 then d else 0.0
-    end
-
-  (* [scan_candidates] on the copied columns (see the live implementation
-     for the pruning argument); requires 2 <= k < x.  Returns
-     (best value, best split position) — a boxed pair is fine on the read
-     plane, which has no allocation budget to defend. *)
-  let scan v ~k ~x =
-    let a_idx = v.a_idx.(k - 2) and b_idx = v.b_idx.(k - 2) in
-    let b_her = v.b_her.(k - 2) in
-    let len = Array.length b_idx in
-    let lo = ref 0 and hi = ref len in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Array.unsafe_get b_idx mid >= x then hi := mid else lo := mid + 1
-    done;
-    let cover = !lo in
-    let best = ref infinity in
-    let best_i = ref (x - 1) in
-    if cover < len && Array.unsafe_get a_idx cover <= x - 1 then begin
-      best := Array.unsafe_get b_her cover;
-      best_i := x - 1
-    end;
-    let first =
-      if cover = 0 || !best = infinity then 0
-      else begin
-        let lo = ref 0 and hi = ref cover in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if sqerror v ~lo:(Array.unsafe_get b_idx mid + 1) ~hi:x < !best then
-            hi := mid
-          else lo := mid + 1
-        done;
-        !lo
-      end
-    in
-    let i = ref first in
-    let continue = ref true in
-    while !continue && !i < cover do
-      let bh = Array.unsafe_get b_her !i in
-      if bh >= !best then continue := false
-      else begin
-        let b = Array.unsafe_get b_idx !i in
-        let cand = bh +. sqerror v ~lo:(b + 1) ~hi:x in
-        if cand < !best then begin
-          best := cand;
-          best_i := b
-        end;
-        incr i
-      end
-    done;
-    (!best, !best_i)
+  (* [scan_level] on the copied columns; [o] is the caller's own (views
+     are shared across domains, so they own no scratch). *)
+  let scan_level v o ~k ~x =
+    let b_idx = v.b_idx.(k - 2) in
+    scan ~sum:v.sum ~sqsum:v.sqsum ~a_idx:v.a_idx.(k - 2) ~b_idx ~b_her:v.b_her.(k - 2)
+      ~len:(Array.length b_idx) ~x o
 
   (* [eval_herror_into], branch for branch, sans memo and telemetry. *)
   let eval v ~k ~x =
-    if x <= 0 then 0.0
-    else if k >= x then 0.0
-    else if k = 1 then sqerror v ~lo:1 ~hi:x
+    if x <= 0 || k >= x then 0.0
+    else if k = 1 then sqerror v.sum v.sqsum ~lo:1 ~hi:x
     else begin
-      let best, _ = scan v ~k ~x in
+      let o = scan_out () in
+      scan_level v o ~k ~x;
+      let best = o.best.(0) in
       if best = infinity then 0.0 else best
     end
 
@@ -777,7 +774,6 @@ module View = struct
     match memo with
     | None -> eval v ~k ~x
     | Some m ->
-      (* packed like the live memo: key = x * (buckets + 1) + k *)
       let key = (x * (v.b + 1)) + k in
       let slot = Intmemo.find_slot m key in
       if slot >= 0 then (Intmemo.vals m).(slot)
@@ -796,55 +792,34 @@ module View = struct
     | Some h -> h
     | None -> invalid_arg "Fixed_window.current_histogram: empty window"
 
-  (* The [current_histogram] boundary recursion with argmins from the
-     view-side scan; bucket values are the same prefix-difference means. *)
-  let hist_of v =
-    if v.n = 0 then None
-    else begin
-      let rec boundaries x k acc =
-        if x <= 0 then acc
-        else if k <= 1 || x <= k then begin
-          if k <= 1 then x :: acc
-          else begin
-            let acc = ref acc in
-            for i = x downto 1 do
-              acc := i :: !acc
-            done;
-            !acc
-          end
-        end
-        else begin
-          let _, i = scan v ~k ~x in
-          boundaries i (k - 1) (x :: acc)
-        end
-      in
-      let ends = Array.of_list (boundaries v.n v.b []) in
-      let bucket_of i hi =
-        let lo = if i = 0 then 1 else ends.(i - 1) + 1 in
-        let value = (v.sum.(hi) -. v.sum.(lo - 1)) /. Float.of_int (hi - lo + 1) in
-        { Histogram.lo; hi; value }
-      in
-      Some (Histogram.make ~n:v.n (Array.mapi bucket_of ends))
-    end
-
   let make ~gen ~seen ~n ~b ~eps ~sum ~sqsum ~a_idx ~b_idx ~b_her =
     let v0 =
       { gen; seen; n; b; eps; sum; sqsum; a_idx; b_idx; b_her;
         err = 0.0; hist = None }
     in
-    { v0 with err = eval v0 ~k:b ~x:n; hist = hist_of v0 }
+    let hist =
+      if n = 0 then None
+      else begin
+        let o = scan_out () in
+        let split ~k ~x =
+          scan_level v0 o ~k ~x;
+          o.best_i
+        in
+        Some (histogram_of ~n ~b ~sum ~split)
+      end
+    in
+    { v0 with err = eval v0 ~k:b ~x:n; hist }
 end
 
 let view t =
   refresh t;
   let n = length t in
   let b = buckets t in
-  let sum = Array.init (n + 1) (fun i -> Sliding_prefix.cumulative_sum t.sp i) in
-  let sqsum = Array.init (n + 1) (fun i -> Sliding_prefix.cumulative_sqsum t.sp i) in
   let levels = b - 1 in
-  let trim_i col j = Array.init (Soa.length t.queues.(j)) (Array.get (Soa.icol t.queues.(j) col)) in
-  let trim_f col j = Array.init (Soa.length t.queues.(j)) (Array.get (Soa.fcol t.queues.(j) col)) in
-  View.make ~gen:t.gen ~seen:t.seen ~n ~b ~eps:(epsilon t) ~sum ~sqsum
+  let trim_i col j = Array.sub (Soa.icol t.queues.(j) col) 0 (Soa.length t.queues.(j)) in
+  let trim_f col j = Array.sub (Soa.fcol t.queues.(j) col) 0 (Soa.length t.queues.(j)) in
+  View.make ~gen:t.gen ~seen:t.seen ~n ~b ~eps:(epsilon t)
+    ~sum:(Array.sub t.sum 0 (n + 1)) ~sqsum:(Array.sub t.sqsum 0 (n + 1))
     ~a_idx:(Array.init levels (trim_i col_a))
     ~b_idx:(Array.init levels (trim_i col_b))
     ~b_her:(Array.init levels (trim_f col_hb))

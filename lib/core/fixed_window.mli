@@ -38,17 +38,34 @@
 
     {2 Allocation-free kernel}
 
-    The hot path is (amortised) allocation-free: interval lists live in
-    struct-of-arrays stores ({!Sh_util.Soa}) rather than boxed-record
-    vectors, rebuild scratch (double buffers, memo table, float out-param
-    slots) is owned by [t] and reused across refreshes, and HERROR
-    evaluations are deduplicated through a per-refresh memo table
-    ({!Sh_util.Intmemo}) cleared in O(1) by generation stamp.  Once the
-    backing arrays reach steady capacity, a push + warm refresh allocates
-    ~zero minor-heap words (pinned by the allocation-budget test; see
-    DESIGN.md section 10).  [refresh ~memo:false] disables the memo for
-    one rebuild — with it, the probe sequence is identical to the pre-memo
-    kernel, which the golden step-count tests rely on. *)
+    The hot path is (amortised) allocation-free and scans flat arrays.
+    Each rebuild starts by copying the window's cumulative sum and
+    square-sum ring into two per-instance [float array]s indexed
+    [0 .. length] ({!Sh_prefix.Sliding_prefix.blit_cumulative}, two array
+    blits); every SQERROR of the rebuild and of live queries is then a
+    pair of subtractions over that copy, computed inline in the candidate
+    scan.  Interval lists live in struct-of-arrays stores ({!Sh_util.Soa});
+    rebuild scratch (double buffers, flat copies, memo, float out-param
+    slots) is owned by [t] and reused across refreshes.  HERROR
+    evaluations are deduplicated through a per-level memo of
+    [window + 1] slots, each stamped with the (generation, level) it
+    holds: a rebuild probes level k only while it builds list k, so the
+    dense memo answers exactly the probes a full (k, x) table would.
+    Once the backing arrays reach steady capacity, a push + warm refresh
+    allocates ~zero minor-heap words (pinned by the allocation-budget
+    test; see DESIGN.md section 10).  [refresh ~memo:false] disables the
+    memo for one rebuild — with it, the probe sequence is identical to
+    the pre-memo kernel, which the golden step-count tests rely on.
+
+    {2 Work accounting}
+
+    The kernel counts its work in plain int tallies on [t] ({!work_counters}
+    reads them, exact per instance).  At the end of each public entry
+    point (a refresh, a query) the tallies accrued since the last flush
+    are added to the process-wide [fw.*] counters of the metric registry,
+    registered once with no instance label; the [fw.window_length] and
+    [fw.alloc_words_per_push] gauges are process-wide too (last writer
+    wins).  Creating or decoding a summary registers no series. *)
 
 type t
 
@@ -159,8 +176,8 @@ val herror : t -> k:int -> x:int -> float
     may be handed to other domains and read wait-free — the RCU payload of
     the sharded engine's query plane.
 
-    View evaluation replicates the live kernel's float operations on the
-    same values in the same order, so every view answer is bit-identical
+    View evaluation runs the live kernel's own scan over copies of the
+    same flat arrays, so every view answer is bit-identical
     to the corresponding live query against the (quiesced) summary at the
     same generation.  Views never touch telemetry: reads cost no counter
     stores. *)

@@ -1,12 +1,20 @@
 (** Shared parameter handling for the streaming histogram algorithms. *)
 
 type refresh_policy =
-  | Eager        (** rebuild the interval lists on every arrival (paper cost model) *)
+  | Eager        (** rebuild once per applied slice: after every [push], and
+                     once at the end of every [push_many] / [push_slice]
+                     (the paper's per-arrival cost model only when points
+                     arrive one at a time) *)
   | Lazy         (** never rebuild on arrival; the first query rebuilds *)
-  | Every of int (** rebuild on every k-th arrival; queries still force a rebuild *)
+  | Every of int (** rebuild once the arrivals since the last rebuild reach k
+                     (checked at the end of each applied slice); queries
+                     still force a rebuild *)
 (** When the fixed-window maintainer rebuilds its interval lists relative to
     arrivals.  Queries ([current_error] / [current_histogram] / [herror])
-    always see fresh lists regardless of the policy. *)
+    always see fresh lists regardless of the policy.  A batched slice is
+    one arrival event for [Eager]: the sharded engine applies one slice per
+    shard per ingest batch, so under [serve] [Eager] means one rebuild per
+    shard per batch, not one per point. *)
 
 val policy_to_string : refresh_policy -> string
 (** ["eager"], ["lazy"], or ["every:<k>"] — the CLI / report spelling. *)

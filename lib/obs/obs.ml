@@ -15,7 +15,7 @@ let with_span = Span.with_span
 
 let plane_collisions () = Atomic.get Metric.plane_collisions_cell
 
-(* Per-structure instance names: "fw0", "fw1", ... per prefix, so every
+(* Per-structure instance names: "se0", "se1", ... per prefix, so every
    live structure exports its own label-distinguished series.  Mutexed so
    structures created from parallel domains never share a name. *)
 let instance_seq : (string, int ref) Hashtbl.t = Hashtbl.create 8

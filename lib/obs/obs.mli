@@ -8,8 +8,9 @@
     query) and records wall time plus per-span counter deltas.
 
     {b Overhead model.}  Counters and gauges are always live: they are the
-    algorithms' own work accounting (e.g. [Fixed_window.work_counters]) and
-    cost no more than the plain int fields they replaced.  Everything with
+    algorithms' own work accounting (e.g. [Heavy_hitters.work_counters];
+    [Fixed_window] tallies in plain ints and flushes once per call, so no
+    counter store sits in its probe loops).  Everything with
     real per-event cost — span tracing, duration histograms — is gated by
     {!set_enabled}, whose disabled path is a single boolean load (measured
     < 3% total overhead on the fixed-window hot path; see EXPERIMENTS.md).
@@ -39,7 +40,7 @@ val gauge : ?labels:Metric.labels -> string -> Metric.gauge
 val histogram : ?labels:Metric.labels -> string -> Metric.histogram
 
 val instance : string -> string
-(** Fresh instance name for a structure family: ["fw0"], ["fw1"], ... —
+(** Fresh instance name for a structure family: ["se0"], ["se1"], ... —
     used as the [("instance", _)] label value of per-structure series. *)
 
 (** {2 Spans} *)
@@ -77,8 +78,10 @@ val render_chrome_trace : unit -> string
 
 val reset : unit -> unit
 (** Zero all metric values and drop the span trace; registrations and the
-    handles held by live structures survive.  Also zeroes work-accounting
-    counters such as [Fixed_window.work_counters]. *)
+    handles held by live structures survive.  Also zeroes work accounting
+    read back from registry counters (e.g. [Heavy_hitters.work_counters]);
+    [Fixed_window.work_counters] reads per-instance tallies and is not
+    affected. *)
 
 val clear : unit -> unit
 (** Drop all registrations, the trace, and instance-name sequences.

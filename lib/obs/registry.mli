@@ -1,7 +1,7 @@
 (** Global metric registry: get-or-create of named metric series.
 
     A series is identified by a metric name plus a label set (e.g.
-    [("instance", "fw0")]); labels are canonically sorted on registration
+    [("instance", "se0")]); labels are canonically sorted on registration
     so label order never distinguishes series.  Registration costs one
     hashtable lookup and happens at structure-creation time; the returned
     handles are then recorded through directly ({!Metric}), keeping the
@@ -36,8 +36,8 @@ val series_count : unit -> int
 
 val reset : unit -> unit
 (** Zero every value; registrations (and handles held by structures)
-    survive.  Note this also zeroes the work-accounting counters backing
-    e.g. [Fixed_window.work_counters]. *)
+    survive.  Note this also zeroes work accounting read back from
+    registry counters, e.g. [Heavy_hitters.work_counters]. *)
 
 val clear : unit -> unit
 (** Drop all registrations.  Handles already held by live structures keep

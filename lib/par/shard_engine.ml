@@ -243,8 +243,6 @@ let create_with_ring ~ring_capacity ~pool ~shards ~window ~buckets ~epsilon =
   if shards < 1 then invalid_arg "Shard_engine.create: shards must be >= 1";
   if ring_capacity < 1 then
     invalid_arg "Shard_engine.create: ring_capacity must be >= 1";
-  (* sequential creation: instance-name allocation stays deterministic
-     (fw0, fw1, ... in key order) regardless of the pool size *)
   build ~ring_capacity ~pool
     (Array.init shards (fun _ -> FW.create ~window ~buckets ~epsilon))
 

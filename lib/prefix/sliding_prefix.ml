@@ -30,11 +30,10 @@ let length t = t.count
    where i = 0 is the sentinel just before the window's oldest point.
 
    The query chain below (slot / check / range_sum / range_sqsum /
-   sqerror) is [@inline]-annotated: these run once per probe of the
-   fixed-window search kernel, and without inlining each call boxes its
-   float return (no flambda), which is the bulk of the kernel's
-   allocation.  Inlined into the caller, the whole computation stays in
-   float registers and the probe loop allocates nothing. *)
+   sqerror) is [@inline]-annotated so that [sqerror] computes in float
+   registers instead of boxing the intermediate range sums (no flambda).
+   Hot scanners do not call it per probe: they copy the ring out once
+   with [blit_cumulative] and subtract over the flat copy. *)
 let[@inline] slot t i = (t.pos - t.count + i + (2 * (t.cap + 1))) mod (t.cap + 1)
 
 (* Shift the origin to the start of the current window: subtract the
@@ -92,31 +91,27 @@ let[@inline] sqerror t ~lo ~hi =
     if d > 0.0 then d else 0.0
   end
 
-(* Raw cumulative ring values for snapshot capture: window-relative index
-   i in [0 .. count], where 0 is the sentinel just before the oldest
-   point.  [range_sum ~lo ~hi] is exactly
-   [cumulative_sum hi -. cumulative_sum (lo-1)], so a caller that copies
-   these values and subtracts pairs of the copies reproduces live range
-   sums bit for bit (copying [range_sum ~lo:1 ~hi:i] instead would
-   re-associate the subtraction and drift in the last ulp). *)
-let cumulative_sum t i =
-  if i < 0 || i > t.count then
-    invalid_arg "Sliding_prefix.cumulative_sum: index out of range";
-  t.sum.(slot t i)
-
-let cumulative_sqsum t i =
-  if i < 0 || i > t.count then
-    invalid_arg "Sliding_prefix.cumulative_sqsum: index out of range";
-  t.sqsum.(slot t i)
-
-(* Out-param variant for allocation-free callers: dev-profile builds pass
-   -opaque, which strips cross-module Clambda approximations, so the
-   [@inline] annotations above only help callers inside this module — an
-   external [sqerror] call still boxes its float return.  Storing into a
-   caller-owned float array crosses the module boundary with ints only;
-   [sqerror] inlines here (same module), so the value goes from registers
-   straight into the array. *)
-let sqerror_into t ~lo ~hi dst i = dst.(i) <- sqerror t ~lo ~hi
+(* Copy the raw cumulative ring values for window-relative indices
+   0 .. count (0 is the sentinel just before the oldest point) into flat
+   arrays.  [range_sum ~lo ~hi] is exactly [sum.(hi) -. sum.(lo-1)] over
+   the copy, so a caller subtracting pairs of the copied values
+   reproduces live range sums bit for bit (copying [range_sum ~lo:1 ~hi:i]
+   instead would re-associate the subtraction and drift in the last ulp).
+   The live window occupies at most two runs of the ring, so the copy is
+   at most two blits per array and allocates nothing. *)
+let blit_cumulative t ~sum ~sqsum =
+  let len = t.count + 1 in
+  if Array.length sum < len || Array.length sqsum < len then
+    invalid_arg "Sliding_prefix.blit_cumulative: destination too short";
+  let start = slot t 0 in
+  let first = min len (t.cap + 1 - start) in
+  Array.blit t.sum start sum 0 first;
+  Array.blit t.sqsum start sqsum 0 first;
+  let rest = len - first in
+  if rest > 0 then begin
+    Array.blit t.sum 0 sum first rest;
+    Array.blit t.sqsum 0 sqsum first rest
+  end
 
 (* --- persistence ---------------------------------------------------- *)
 

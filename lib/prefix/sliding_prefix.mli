@@ -42,26 +42,18 @@ val range_sqsum : t -> lo:int -> hi:int -> float
 val sqerror : t -> lo:int -> hi:int -> float
 (** SQERROR(lo, hi) over the current window, clamped non-negative. *)
 
-val sqerror_into : t -> lo:int -> hi:int -> float array -> int -> unit
-(** [sqerror_into t ~lo ~hi dst i] stores {!sqerror}[ t ~lo ~hi] into
-    [dst.(i)] without boxing the result — the hot-path variant for callers
-    that must not allocate per query (a cross-module float return is a
-    boxed float under the dev profile's [-opaque]; an int-indexed store
-    into a caller-owned array is not). *)
-
 val range_mean : t -> lo:int -> hi:int -> float
 
-val cumulative_sum : t -> int -> float
-(** Raw cumulative sum at window-relative index [i] in [\[0, length t\]]
-    ([0] is the sentinel just before the oldest point; the origin is
-    arbitrary).  {!range_sum}[ ~lo ~hi] is exactly
-    [cumulative_sum hi -. cumulative_sum (lo - 1)], so snapshotting these
-    values and subtracting pairs of the copies reproduces live range sums
-    bit for bit — the capture hook for the published read views.  Raises
-    [Invalid_argument] out of range. *)
-
-val cumulative_sqsum : t -> int -> float
-(** {!cumulative_sum} for the squared sums. *)
+val blit_cumulative : t -> sum:float array -> sqsum:float array -> unit
+(** [blit_cumulative t ~sum ~sqsum] copies the raw cumulative sums for
+    window-relative indices [0 .. length t] into [sum.(0 .. length t)]
+    (and the squared sums into [sqsum]); index [0] is the sentinel just
+    before the oldest point, and the origin is arbitrary.  {!range_sum}[
+    ~lo ~hi] is exactly [sum.(hi) -. sum.(lo - 1)] on the copy, so
+    subtracting pairs of copied values reproduces live range sums bit for
+    bit — the flat layout the fixed-window kernel scans and its published
+    read views hold.  Two array blits per array: allocation-free.  Raises
+    [Invalid_argument] when a destination is shorter than [length t + 1]. *)
 
 (** {2 Persistence} *)
 

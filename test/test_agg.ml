@@ -370,6 +370,49 @@ let test_aggregator_matches_single_process () =
   Alcotest.(check int) "stats: shards" 8 st.Wire.shards;
   Alcotest.(check int) "stats: total points" total st.Wire.total_points
 
+(* Leak guard: decoded snapshots and Global queries through a root build
+   a transient summary per shard, and none of them may register metric
+   series — the fw.* series are process-wide, so the registry size must
+   not move however many summaries come and go. *)
+let test_transient_summaries_register_no_series () =
+  let window, buckets, epsilon = geometry in
+  let bytes =
+    Pool.with_pool ~domains:1 @@ fun pool ->
+    let eng = SE.create ~pool ~shards:8 ~window ~buckets ~epsilon in
+    let rng = Helpers.rng ~seed:7 in
+    SE.ingest eng (Array.init 400 (fun i -> (i mod 8, float_of_int (Rng.int rng 100))));
+    SE.refresh_all eng;
+    SE.snapshot_bytes eng
+  in
+  ignore (SE.decode_snapshot bytes : FW.t array);
+  let series = Sh_obs.Registry.series_count in
+  let before = series () in
+  for _ = 1 to 100 do
+    ignore (SE.decode_snapshot bytes : FW.t array)
+  done;
+  Alcotest.(check int) "100 snapshot decodes register no series" before (series ());
+  let la = start_leaf ~shards:4 () in
+  let lb = start_leaf ~shards:4 () in
+  Fun.protect ~finally:(fun () -> List.iter kill_leaf [ la; lb ]) @@ fun () ->
+  let agg = Aggregator.create ~timeout:10.0 [ la.addr; lb.addr ] in
+  Fun.protect ~finally:(fun () -> Aggregator.close agg) @@ fun () ->
+  let rng = Helpers.rng ~seed:11 in
+  let groups =
+    Array.init 8 (fun k -> (k, Array.init 48 (fun _ -> float_of_int (Rng.int rng 100))))
+  in
+  ignore (Aggregator.ingest agg groups : int * int);
+  let qs = [| (Qop.Global, Qop.Current_error); (Qop.Global, Qop.Window_length) |] in
+  let global () =
+    let _, missing = Aggregator.query agg qs in
+    Alcotest.(check int) "no leaf missing" 0 missing
+  in
+  global ();
+  let before = series () in
+  for _ = 1 to 25 do
+    global ()
+  done;
+  Alcotest.(check int) "25 Global queries register no series" before (series ())
+
 let test_aggregator_leaf_failure_partial () =
   let per_key = 10 in
   let la = start_leaf ~shards:2 () in
@@ -483,6 +526,8 @@ let () =
         [
           Alcotest.test_case "two leaves == single process (bitwise)" `Quick
             test_aggregator_matches_single_process;
+          Alcotest.test_case "transient summaries register no series" `Quick
+            test_transient_summaries_register_no_series;
           Alcotest.test_case "killed leaf degrades to typed partial" `Quick
             test_aggregator_leaf_failure_partial;
           Alcotest.test_case "out-of-range keys rejected" `Quick

@@ -221,14 +221,17 @@ let test_fw_work_counters () =
     (after.FW.herror_evaluations > before.FW.herror_evaluations);
   Alcotest.(check bool) "refreshes counted" true (after.FW.refreshes >= 64)
 
-(* Golden regression for the registry migration and the SoA/memo rewrite:
-   work_counters moved from private mutable int fields to Sh_obs
-   registry-backed series, and these exact values were captured on the
-   pre-migration implementation (network workload seed 5, 300 arrivals).
+(* Golden regression for the registry migration, the SoA/memo rewrite
+   and the flat-scan kernel: work_counters moved from private mutable int
+   fields to Sh_obs registry-backed series and back to per-instance
+   tallies, and these exact values were captured on the pre-migration
+   implementation (network workload seed 5, 300 arrivals).
    The memo-off runs must reproduce them bit-for-bit — the SoA kernel with
    memoisation disabled executes the exact legacy probe sequence.  Any
    drift means the rewrite changed what gets counted or probed, not just
-   how lists are stored. *)
+   how lists are stored.  The memo-on goldens were captured on the
+   hash-table memo the per-level memo replaced: equal probe and hit counts
+   show the per-level memo replays the same probe sequence. *)
 let test_fw_work_counters_golden () =
   let window = 256 and buckets = 8 and epsilon = 0.2 in
   let module Wk = Sh_gen.Workloads in
@@ -244,6 +247,8 @@ let test_fw_work_counters_golden () =
     in
     Alcotest.(check (list int)) tag expected got
   in
+  let fw_evals = Sh_obs.Obs.counter "fw.herror_evals" in
+  let evals0 = Sh_obs.Metric.value fw_evals in
   let warm = FW.create ~window ~buckets ~epsilon in
   FW.set_memoisation warm false;
   Array.iter (FW.push_and_refresh warm) data;
@@ -251,6 +256,11 @@ let test_fw_work_counters_golden () =
   check_side "warm counters match pre-migration golden run"
     [ 415066; 0; 415059; 174716; 300; 0; 300; 3115309; 170797; 2902 ]
     (FW.work_counters warm);
+  (* the process-wide series is fed by flushes of the per-instance
+     tallies: its delta over this run is exactly the instance's total *)
+  Alcotest.(check int) "fw.herror_evals delta equals work_counters"
+    (FW.work_counters warm).FW.herror_evaluations
+    (Sh_obs.Metric.value fw_evals - evals0);
   let cold = FW.create ~window ~buckets ~epsilon in
   FW.set_memoisation cold false;
   Array.iter (fun v -> FW.push cold v; FW.refresh ~cold:true cold) data;
@@ -280,16 +290,22 @@ let test_fw_work_counters_golden () =
     (cm.FW.scan_steps <= cm.FW.search_steps && cm.FW.scan_steps > 0);
   Alcotest.(check bool) "memo-off run records no memo probes" true
     (cw.FW.memo_probes = 0 && cw.FW.memo_hits = 0);
-  (* the same numbers must be visible through the shared registry: some
-     fw.herror_evals series carries exactly the warm instance's total *)
-  let found = ref false in
-  Sh_obs.Registry.iter (fun m ->
-      match m with
-      | Sh_obs.Registry.Counter c
-        when c.Sh_obs.Metric.c_name = "fw.herror_evals" && Sh_obs.Metric.value c = 415066 ->
-        found := true
-      | _ -> ());
-  Alcotest.(check bool) "work_counters is a view over registry series" true !found
+  let pinned c =
+    [ c.FW.herror_evaluations; c.FW.search_steps; c.FW.memo_probes; c.FW.memo_hits ]
+  in
+  Alcotest.(check (list int)) "memo-on warm counters match golden run"
+    [ 415066; 1982440; 342227; 142585 ] (pinned cm);
+  let memo_cold = FW.create ~window ~buckets ~epsilon in
+  Array.iter (fun v -> FW.push memo_cold v; FW.refresh ~cold:true memo_cold) data;
+  ignore (FW.current_histogram memo_cold);
+  Alcotest.(check (list int)) "memo-on cold counters match golden run"
+    [ 1196240; 3372160; 985028; 730759 ] (pinned (FW.work_counters memo_cold));
+  let total =
+    List.fold_left (fun acc fw -> acc + (FW.work_counters fw).FW.herror_evaluations)
+      0 [ warm; cold; memo; memo_cold ]
+  in
+  Alcotest.(check int) "fw.herror_evals delta equals the summed work_counters" total
+    (Sh_obs.Metric.value fw_evals - evals0)
 
 (* Steady-state sliding must reuse the interval lists' backing arrays:
    after a warm-up long enough to reach peak capacity, further slides may
