@@ -915,8 +915,8 @@ let loadgen_cmd =
       & info [ "global-mix" ] ~docv:"F"
           ~doc:
             "Fraction of $(b,--query-mix) traffic scoped $(b,global) (over all keys) instead of \
-             a single key — exercises the all-keys fold on a leaf and the snapshot-merge path \
-             on an aggregator.  The report counts degraded (partial) answers.")
+             a single key — exercises the all-keys fold on a leaf, and the per-leaf key \
+             fan-out and fold on an aggregator.  The report counts degraded (partial) answers.")
   in
   let do_shutdown =
     Arg.(
@@ -1255,8 +1255,9 @@ let aggregate_cmd =
     (Cmd.info "aggregate"
        ~doc:
          "Root of a two-tier aggregation tree: fan ingest and scoped queries out over N leaf \
-          shist serve processes, merge snapshot summaries for global answers, degrade (never \
-          hang) on leaf failure")
+          shist serve processes, answer global queries by folding every leaf's per-key answers \
+          (from the leaves' published views, as fresh as key answers), degrade (never hang) \
+          on leaf failure")
     Term.(const run $ connect $ listen $ timeout $ idle_timeout)
 
 (* ------------------------------------------------------------- peek *)

@@ -1,7 +1,5 @@
 module Codec = Sh_persist.Codec
-module SE = Sh_par.Shard_engine
 module Q = Stream_histogram.Query_op
-module FG = Stream_histogram.Fw_group
 module SI = Stream_histogram.Summary_intf
 module Wire = Sh_net.Wire
 module Client = Sh_net.Client
@@ -103,12 +101,25 @@ let close t =
       | None -> ())
     t.leaves
 
+(* A reconnected leaf may be a restarted process: it must come back with
+   the shard count and geometry [create] fixed, or its keys would land at
+   the wrong global offsets and Global folds would mix window sizes. *)
+let check_geometry t l (s : Wire.stats) =
+  if s.Wire.shards <> l.shards || s.Wire.window <> t.window || s.Wire.buckets <> t.buckets
+  then
+    SI.merge_incompatiblef
+      "aggregate: leaf %s came back with %d shard(s), window %d, buckets %d \
+       (expected %d, %d, %d)"
+      (Addr.to_string l.addr) s.Wire.shards s.Wire.window s.Wire.buckets l.shards
+      t.window t.buckets
+
 (* Run [f] against a leaf's client, reconnecting a down leaf on demand
-   (one attempt, fail-fast).  Any transport error, protocol garbage, or
-   mergeability violation (a leaf restarted with different geometry)
-   marks the leaf down and yields [None] — the caller degrades, never
-   crashes, never hangs beyond the client timeout. *)
+   (one attempt, fail-fast, geometry re-probed).  Any transport error,
+   protocol garbage, or geometry change marks the leaf down and yields
+   [None] — the caller degrades, never crashes, never hangs beyond the
+   client timeout. *)
 let with_leaf t l f =
+  let reconnected = Option.is_none l.client in
   let client =
     match l.client with
     | Some c -> Some c
@@ -128,7 +139,10 @@ let with_leaf t l f =
   match client with
   | None -> None
   | Some c -> (
-    match f c with
+    match
+      if reconnected then check_geometry t l (Client.stats c);
+      f c
+    with
     | v -> Some v
     | exception
         ( Client.Net_error _ | Codec.Corrupt _ | Codec.Version_mismatch _
@@ -153,24 +167,20 @@ let route t k =
   done;
   !li
 
-let count_missing missing =
-  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 missing
-
-(* Fan a scoped query batch out.  [Key] elements are routed to their
-   owning leaf (rebased to the leaf's local key space) and answered by
-   the leaf's own view plane; [Global] elements pull one snapshot per
-   live leaf, decode it with the persistence codec, splice the per-leaf
-   summaries into one disjoint-key {!Fw_group} and fold — the exact
-   ascending-key association the single-process engine uses, so complete
-   answers are bit-identical to a one-process oracle over the same
-   per-key streams.  Elements whose leaf is down answer 0.0 and the leaf
-   counts once toward [leaves_missing]. *)
+(* Fan a scoped query batch out as one [Query] frame per leaf.  [Key]
+   elements go to their owning leaf, rebased to its local key space.  A
+   [Global] element becomes one [Key kk] element for every local key [kk]
+   of every leaf, and its answer is the fold of those per-key answers in
+   ascending global key order from 0.0 — {!Query_op.scope}'s fixed float
+   association, so a complete answer is bit-identical to a single-process
+   engine's over the same per-key streams, and it comes from the same
+   published views as the batch's [Key] answers.  A down leaf's [Key]
+   elements answer 0.0, its keys are left out of every [Global] fold, and
+   it counts once toward [leaves_missing]. *)
 let query t qs =
   M.incr t.c_fanouts;
-  let n = Array.length qs in
-  let answers = Array.make n 0.0 in
-  let missing = Array.make (Array.length t.leaves) false in
-  let per_leaf = Array.make (Array.length t.leaves) [] in
+  let answers = Array.make (Array.length qs) 0.0 in
+  let keyed = Array.make (Array.length t.leaves) [] in
   let globals = ref [] in
   Array.iteri
     (fun i (scope, q) ->
@@ -178,43 +188,44 @@ let query t qs =
       | Q.Key k ->
         check_key t k;
         let li = route t k in
-        per_leaf.(li) <-
-          (i, (Q.Key (k - t.leaves.(li).offset), q)) :: per_leaf.(li)
+        keyed.(li) <- (i, (Q.Key (k - t.leaves.(li).offset), q)) :: keyed.(li)
       | Q.Global -> globals := (i, q) :: !globals)
     qs;
+  let globals = Array.of_list (List.rev !globals) in
+  let missing = ref 0 in
   Array.iteri
-    (fun li elems ->
-      match elems with
-      | [] -> ()
-      | elems -> (
-        let elems = Array.of_list (List.rev elems) in
-        let sub = Array.map snd elems in
-        match with_leaf t t.leaves.(li) (fun c -> Client.query c sub) with
-        | Some out when Array.length out = Array.length elems ->
-          Array.iteri (fun j (i, _) -> answers.(i) <- out.(j)) elems
+    (fun li l ->
+      let keyed = Array.of_list (List.rev keyed.(li)) in
+      let nk = Array.length keyed in
+      let n = nk + (Array.length globals * l.shards) in
+      if n > 0 then begin
+        (* the leaf's keyed elements, then each Global element's per-key
+           expansion in ascending local key order *)
+        let sub =
+          Array.init n (fun j ->
+              if j < nk then snd keyed.(j)
+              else
+                let g = j - nk in
+                (Q.Key (g mod l.shards), snd globals.(g / l.shards)))
+        in
+        match with_leaf t l (fun c -> Client.query c sub) with
+        | Some out when Array.length out = n ->
+          Array.iteri (fun j (i, _) -> answers.(i) <- out.(j)) keyed;
+          Array.iteri
+            (fun g (i, _) ->
+              let base = nk + (g * l.shards) in
+              for kk = 0 to l.shards - 1 do
+                answers.(i) <- answers.(i) +. out.(base + kk)
+              done)
+            globals
         | Some _ ->
-          mark_down t t.leaves.(li);
-          missing.(li) <- true
-        | None -> missing.(li) <- true))
-    per_leaf;
-  (match List.rev !globals with
-  | [] -> ()
-  | gs ->
-    let group = ref FG.empty in
-    Array.iteri
-      (fun li l ->
-        match
-          with_leaf t l (fun c ->
-              FG.of_summaries ~base:l.offset
-                (SE.decode_snapshot (Client.snapshot c)))
-        with
-        | Some g -> group := FG.merge !group g
-        | None -> missing.(li) <- true)
-      t.leaves;
-    List.iter (fun (i, q) -> answers.(i) <- FG.eval_global !group q) gs);
-  let lm = count_missing missing in
-  if lm > 0 then M.incr t.c_partial;
-  (answers, lm)
+          mark_down t l;
+          incr missing
+        | None -> incr missing
+      end)
+    t.leaves;
+  if !missing > 0 then M.incr t.c_partial;
+  (answers, !missing)
 
 (* Split an ingest batch across the owning leaves (rebasing keys) and
    forward each sub-batch.  Returns the points actually acked plus how

@@ -8,25 +8,29 @@
     order its address was given: leaf [i] with [s_i] shards owns global
     keys [offset_i .. offset_i + s_i - 1] where
     [offset_i = s_0 + ... + s_{i-1}].  [Key k] requests are routed to
-    the owning leaf with the key rebased into the leaf's local space;
-    [Global] requests pull one engine snapshot per leaf (the checkpoint
-    byte stream over the wire), decode them with the persistence codec,
-    splice the per-leaf summaries into one disjoint-key
-    {!Stream_histogram.Fw_group} and fold in ascending key order from
-    [0.0] — the exact float association the single-process engine's
-    [query_global] uses, so a complete answer is bit-identical to a
-    one-process oracle fed the same per-key streams.
+    the owning leaf with the key rebased into the leaf's local space.
+    A [Global] request is answered from the same per-key answers: the
+    root asks every leaf for [Key kk] at each of its local keys and
+    folds the answers in ascending global key order from [0.0] —
+    {!Stream_histogram.Query_op.scope}'s [Global] contract, so a
+    complete answer is bit-identical to a one-process oracle fed the
+    same per-key streams.  A leaf answers [Key] from its published
+    views, so root [Global] answers are exactly as fresh as root [Key]
+    answers in the same batch, and the leaves' [Snapshot] request is
+    never used.
 
     {2 Degradation}
 
     A leaf failure is never a hang and never an exception out of
     {!query} / {!ingest} / {!stats}: every leaf touch is bounded by the
     aggregator timeout, a failed touch marks the leaf down (one cheap
-    reconnect attempt per subsequent request), and the caller sees a
-    typed partial result — [leaves_missing > 0] with the unreachable
-    leaves' contributions answered as [0.0] (queries) or dropped from
-    the ack (ingest).  Only {!create} requires every leaf up, because
-    that is where the key-space layout is fixed. *)
+    reconnect attempt per subsequent request; a leaf that comes back
+    with another shard count, window or bucket budget stays down), and
+    the caller sees a typed partial result — [leaves_missing > 0] with
+    the unreachable leaves' [Key] answers [0.0], their keys left out of
+    every [Global] fold (queries), or their sub-batches dropped from the
+    ack (ingest).  Only {!create} requires every leaf up, because that
+    is where the key-space layout is fixed. *)
 
 type t
 
@@ -48,10 +52,13 @@ val query :
   t ->
   (Stream_histogram.Query_op.scope * Stream_histogram.Query_op.t) array ->
   float array * int
-(** Fan a scoped batch out and merge.  Returns the positional answers
-    and the number of distinct leaves that could not contribute; with a
-    leaf down, its [Key] answers and its slice of every [Global] answer
-    are [0.0].  Raises [Invalid_argument] on an out-of-range key. *)
+(** Fan a scoped batch out as one [Query] frame per leaf involved — a
+    leaf's routed [Key] elements plus one [Key] element per local key
+    for each [Global] element — and fold the [Global] answers.  Returns
+    the positional answers and the number of distinct leaves that could
+    not contribute; with a leaf down, its [Key] answers are [0.0] and
+    every [Global] answer is the fold over the live leaves' keys only.
+    Raises [Invalid_argument] on an out-of-range key. *)
 
 val ingest : t -> (int * float array) array -> int * int
 (** Split the batch across the owning leaves.  Returns
@@ -70,8 +77,9 @@ val close : t -> unit
 
     The root speaks the same protocol as a leaf, so [shist loadgen] and
     {!Sh_net.Client} work unchanged against it.  [Checkpoint] and [Snapshot]
-    are refused with an [Error_reply] (the root holds no state); a
-    degraded [Query] answers {!Sh_net.Wire.response.Answers_partial}. *)
+    are refused with an [Error_reply]: the root holds no engine state,
+    and it sends neither request to its leaves.  A degraded [Query]
+    answers {!Sh_net.Wire.response.Answers_partial}. *)
 
 type report = {
   connections : int;

@@ -182,8 +182,9 @@ val query_global : t -> Stream_histogram.Query_op.t -> float
     — {!Stream_histogram.Query_op.scope}'s [Global] contract, with its
     fixed float association.  Bit-identical to
     {!Stream_histogram.Fw_group.eval_global} over the same per-key window
-    contents, which is how the root aggregator's leaf-merged answers are
-    proved against this single-process oracle.  Wait-free (published
+    contents, and to a root aggregator's fold of its leaves' [Key]
+    answers over the same published views — which is how root answers
+    are proved against this single-process oracle.  Wait-free (published
     views only — quiesce with {!refresh_all} first for current
     answers). *)
 
@@ -243,8 +244,9 @@ val snapshots_published : t -> int
     rename, so a crash during {!checkpoint} always leaves the previous
     checkpoint readable — proved by the fault-injection suite);
     {!snapshot_bytes} returns the {e same bytes} in memory — the
-    interchange format the aggregation plane ships over the wire and
-    decodes with {!decode_snapshot}. *)
+    interchange format a leaf serves to a [Snapshot] request and
+    {!decode_snapshot} reads back (the root aggregator answers [Global]
+    from leaf [Key] queries and uses neither). *)
 
 val checkpoint : t -> file:string -> unit
 (** Capture every shard and atomically publish the file.  The engine is
@@ -263,9 +265,9 @@ val decode_snapshot : string -> Stream_histogram.Fixed_window.t array
 (** Decode {!snapshot_bytes} (or a checkpoint file's contents) into its
     per-shard summaries, in key order — each rebuilt with one cold
     refresh, so every answer is bit-identical to the source shard's at
-    capture.  The aggregation plane's half of the interchange contract:
-    it feeds these to {!Stream_histogram.Fw_group.of_summaries} without
-    knowing the engine's framing.  Raises {!Sh_persist.Persist.Corrupt}
+    capture.  The summaries feed
+    {!Stream_histogram.Fw_group.of_summaries} without the reader knowing
+    the engine's framing.  Raises {!Sh_persist.Persist.Corrupt}
     on damaged bytes, {!Sh_persist.Persist.Version_mismatch} on a foreign
     format version. *)
 

@@ -280,12 +280,20 @@ type live_leaf = {
 }
 
 (* One leaf server on its own domain, individually killable.  Eager
-   refresh so published views (and snapshots) are current once an ingest
-   is acked — the precondition for the bit-identity comparison. *)
-let start_leaf ~shards () =
-  let window, buckets, epsilon = geometry in
-  let path = Filename.temp_file "shist_agg" ".sock" in
-  Unix.unlink path;
+   refresh by default, so published views are current once an ingest is
+   acked; [Every k] leaves answer from views up to one cadence behind. *)
+let start_leaf ?(policy = Params.Eager) ?(config = Server.default_config) ?window
+    ?path ~shards () =
+  let default_window, buckets, epsilon = geometry in
+  let window = Option.value window ~default:default_window in
+  let path =
+    match path with
+    | Some p -> p
+    | None ->
+      let p = Filename.temp_file "shist_agg" ".sock" in
+      Unix.unlink p;
+      p
+  in
   let addr = Addr.Unix_sock path in
   let listener = Server.listen addr in
   let stop = Atomic.make false in
@@ -293,8 +301,8 @@ let start_leaf ~shards () =
     Domain.spawn (fun () ->
         Pool.with_pool ~domains:1 (fun pool ->
             let eng = SE.create ~pool ~shards ~window ~buckets ~epsilon in
-            SE.set_refresh_policy eng Params.Eager;
-            Server.run
+            SE.set_refresh_policy eng policy;
+            Server.run ~config
               ~stop:(fun () -> Atomic.get stop)
               ~engine:eng ~listeners:[ listener ] ()))
   in
@@ -322,11 +330,13 @@ let scoped_batch ~shards ~window =
       (Qop.Global, Qop.Point_estimate { index = 7 });
     |]
 
-let test_aggregator_matches_single_process () =
-  let window, _, _ = geometry in
-  let la = start_leaf ~shards:4 () in
-  let lb = start_leaf ~shards:4 () in
-  let oracle = start_leaf ~shards:8 () in
+(* Two 4-shard leaves behind an in-process root, and an 8-shard single
+   process as the oracle, all refreshing under [policy]; [lb_config] is
+   the second leaf's server configuration. *)
+let with_tree ?policy ?lb_config f =
+  let la = start_leaf ?policy ~shards:4 () in
+  let lb = start_leaf ?policy ?config:lb_config ~shards:4 () in
+  let oracle = start_leaf ?policy ~shards:8 () in
   Fun.protect ~finally:(fun () -> List.iter kill_leaf [ la; lb; oracle ]) @@ fun () ->
   let agg = Aggregator.create ~timeout:10.0 [ la.addr; lb.addr ] in
   let oc = Client.connect ~timeout:10.0 oracle.addr in
@@ -334,46 +344,119 @@ let test_aggregator_matches_single_process () =
     ~finally:(fun () ->
       Aggregator.close agg;
       Client.close oc)
-  @@ fun () ->
-  Alcotest.(check int) "total shards" 8 (Aggregator.total_shards agg);
-  Alcotest.(check int) "leaf count" 2 (Aggregator.leaf_count agg);
-  Alcotest.(check int) "window" window (Aggregator.window agg);
-  (* identical per-key streams into the tree and the single process *)
-  let rng = Helpers.rng ~seed:99 in
-  let groups =
-    Array.init 8 (fun k ->
-        (k, Array.init (40 + (8 * k)) (fun _ -> float_of_int (Rng.int rng 100))))
-  in
+  @@ fun () -> f ~lb agg oc
+
+(* The same batch into the tree and the single process; both ack it all. *)
+let ingest_both agg oc groups =
   let total = Array.fold_left (fun acc (_, vs) -> acc + Array.length vs) 0 groups in
   let acked, missing = Aggregator.ingest agg groups in
   Alcotest.(check int) "aggregator acked all points" total acked;
   Alcotest.(check int) "no leaf missing on ingest" 0 missing;
-  Alcotest.(check int) "oracle acked all points" total (Client.ingest oc groups);
-  let qs = scoped_batch ~shards:8 ~window in
+  Alcotest.(check int) "oracle acked all points" total (Client.ingest oc groups)
+
+let scope_tag (scope, q) =
+  match scope with
+  | Qop.Key k -> Printf.sprintf "key %d %s" k (Qop.to_string q)
+  | Qop.Global -> Printf.sprintf "global %s" (Qop.to_string q)
+
+(* Every answer of [qs] through the root is complete and bit-identical
+   to the single process's. *)
+let check_root_matches_oracle agg oc qs =
   let agg_answers, lm = Aggregator.query agg qs in
   Alcotest.(check int) "no leaf missing on query" 0 lm;
   let oracle_answers = Client.query oc qs in
   Alcotest.(check int) "answer counts" (Array.length oracle_answers)
     (Array.length agg_answers);
   Array.iteri
-    (fun i expected ->
-      let scope, q = qs.(i) in
-      let tag =
-        match scope with
-        | Qop.Key k -> Printf.sprintf "key %d %s" k (Qop.to_string q)
-        | Qop.Global -> Printf.sprintf "global %s" (Qop.to_string q)
-      in
-      check_bits tag expected agg_answers.(i))
-    oracle_answers;
+    (fun i expected -> check_bits (scope_tag qs.(i)) expected agg_answers.(i))
+    oracle_answers
+
+let main_groups () =
+  let rng = Helpers.rng ~seed:99 in
+  Array.init 8 (fun k ->
+      (k, Array.init (40 + (8 * k)) (fun _ -> float_of_int (Rng.int rng 100))))
+
+(* Three points per key after [main_groups]: under [Every 16] no shard
+   crosses its cadence again, so every live window is ahead of its
+   published view. *)
+let tail_groups () =
+  Array.init 8 (fun k -> (k, Array.init 3 (fun i -> float_of_int ((7 * k) + i))))
+
+let test_aggregator_matches_single_process () =
+  let window, _, _ = geometry in
+  with_tree @@ fun ~lb:_ agg oc ->
+  Alcotest.(check int) "total shards" 8 (Aggregator.total_shards agg);
+  Alcotest.(check int) "leaf count" 2 (Aggregator.leaf_count agg);
+  Alcotest.(check int) "window" window (Aggregator.window agg);
+  (* identical per-key streams into the tree and the single process *)
+  let groups = main_groups () in
+  ingest_both agg oc groups;
+  check_root_matches_oracle agg oc (scoped_batch ~shards:8 ~window);
+  let total = Array.fold_left (fun acc (_, vs) -> acc + Array.length vs) 0 groups in
   let st, sm = Aggregator.stats agg in
   Alcotest.(check int) "stats: no leaf missing" 0 sm;
   Alcotest.(check int) "stats: shards" 8 st.Wire.shards;
   Alcotest.(check int) "stats: total points" total st.Wire.total_points
 
-(* Leak guard: decoded snapshots and Global queries through a root build
-   a transient summary per shard, and none of them may register metric
-   series — the fw.* series are process-wide, so the registry size must
-   not move however many summaries come and go. *)
+(* Mid-cadence leaves: published views lag the live windows, and the
+   root's Global answers must lag exactly as the single process's do. *)
+let test_aggregator_matches_single_process_mid_cadence () =
+  let window, _, _ = geometry in
+  with_tree ~policy:(Params.Every 16) @@ fun ~lb:_ agg oc ->
+  ingest_both agg oc (main_groups ());
+  ingest_both agg oc (tail_groups ());
+  check_root_matches_oracle agg oc (scoped_batch ~shards:8 ~window)
+
+(* Within one batch through the root, each Global answer is the
+   ascending fold from 0.0 of the same batch's Key answers. *)
+let test_aggregator_global_folds_key_answers () =
+  with_tree ~policy:(Params.Every 16) @@ fun ~lb:_ agg oc ->
+  ingest_both agg oc (main_groups ());
+  ingest_both agg oc (tail_groups ());
+  let shards = Aggregator.total_shards agg in
+  let ops = Array.of_list global_queries in
+  let qs =
+    Array.append
+      (Array.init (shards * Array.length ops) (fun j ->
+           (Qop.Key (j / Array.length ops), ops.(j mod Array.length ops))))
+      (Array.map (fun q -> (Qop.Global, q)) ops)
+  in
+  let answers, lm = Aggregator.query agg qs in
+  Alcotest.(check int) "no leaf missing" 0 lm;
+  Array.iteri
+    (fun o q ->
+      let fold = ref 0.0 in
+      for k = 0 to shards - 1 do
+        fold := !fold +. answers.((k * Array.length ops) + o)
+      done;
+      check_bits (Qop.to_string q) !fold answers.((shards * Array.length ops) + o))
+    ops
+
+(* A leaf whose frame limit is below its snapshot size refuses Snapshot;
+   Global through the root answers from Key queries, so it stays complete
+   and bit-identical. *)
+let test_aggregator_global_without_snapshot () =
+  let window, _, _ = geometry in
+  let lb_config = { Server.default_config with max_frame_payload = 1024 } in
+  with_tree ~lb_config @@ fun ~lb agg oc ->
+  let rng = Helpers.rng ~seed:31 in
+  (* 10-point slices keep every ingest frame to the small leaf under its
+     limit; 100 points per key fill every window *)
+  for _ = 1 to 10 do
+    ingest_both agg oc
+      (Array.init 8 (fun k -> (k, Array.init 10 (fun _ -> float_of_int (Rng.int rng 100)))))
+  done;
+  let c = Client.connect ~timeout:10.0 lb.addr in
+  Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+      match Client.snapshot c with
+      | _ -> Alcotest.fail "small-frame leaf: expected its Snapshot to be refused"
+      | exception Client.Net_error _ -> ());
+  check_root_matches_oracle agg oc (scoped_batch ~shards:8 ~window)
+
+(* Leak guard: each decoded snapshot builds a transient summary per
+   shard, and none of them may register metric series — the fw.* series
+   are process-wide, so the registry size must not move however many
+   summaries come and go, nor over Global queries through a root. *)
 let test_transient_summaries_register_no_series () =
   let window, buckets, epsilon = geometry in
   let bytes =
@@ -479,30 +562,46 @@ let test_aggregator_rejects_bad_key () =
   | exception Invalid_argument _ -> ()
 
 let test_aggregator_geometry_mismatch () =
-  let window, buckets, epsilon = geometry in
+  let window, _, _ = geometry in
   let la = start_leaf ~shards:2 () in
   (* a leaf with a different window must be refused at create time *)
-  let path = Filename.temp_file "shist_agg" ".sock" in
-  Unix.unlink path;
-  let addr = Addr.Unix_sock path in
-  let listener = Server.listen addr in
-  let stop = Atomic.make false in
-  let domain =
-    Domain.spawn (fun () ->
-        Pool.with_pool ~domains:1 (fun pool ->
-            let eng =
-              SE.create ~pool ~shards:2 ~window:(window * 2) ~buckets ~epsilon
-            in
-            Server.run
-              ~stop:(fun () -> Atomic.get stop)
-              ~engine:eng ~listeners:[ listener ] ()))
-  in
-  let lb = { addr; listener; stop; domain; sock_path = path } in
+  let lb = start_leaf ~window:(window * 2) ~shards:2 () in
   Fun.protect ~finally:(fun () -> List.iter kill_leaf [ la; lb ]) @@ fun () ->
   expect_incompatible "window mismatch across leaves" (fun () ->
       let agg = Aggregator.create ~timeout:5.0 [ la.addr; lb.addr ] in
       Aggregator.close agg;
       agg)
+
+(* A leaf restarted at the same address with another geometry stays down:
+   its keys answer 0.0 and Global folds the other leaf's keys only. *)
+let test_aggregator_restarted_leaf_geometry () =
+  let window, _, _ = geometry in
+  let la = start_leaf ~shards:2 () in
+  let lb = ref (start_leaf ~shards:2 ()) in
+  Fun.protect ~finally:(fun () -> List.iter kill_leaf [ la; !lb ]) @@ fun () ->
+  let agg = Aggregator.create ~timeout:5.0 [ la.addr; !lb.addr ] in
+  Fun.protect ~finally:(fun () -> Aggregator.close agg) @@ fun () ->
+  let groups = Array.init 4 (fun k -> (k, Array.init 10 (fun i -> float_of_int (k + i)))) in
+  ignore (Aggregator.ingest agg groups : int * int);
+  let path = !lb.sock_path in
+  kill_leaf !lb;
+  lb := start_leaf ~window:(window * 2) ~path ~shards:2 ();
+  (* the new process holds the same points under its own geometry *)
+  let c = Client.connect ~timeout:5.0 !lb.addr in
+  Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+      ignore (Client.ingest c [| (0, snd groups.(2)); (1, snd groups.(3)) |] : int));
+  (* the first request finds the old connection dead, the second
+     reconnects and must refuse the new geometry *)
+  for attempt = 1 to 2 do
+    let answers, lm =
+      Aggregator.query agg
+        [| (Qop.Key 3, Qop.Window_length); (Qop.Global, Qop.Window_length) |]
+    in
+    let tag = Printf.sprintf "request %d: " attempt in
+    Alcotest.(check int) (tag ^ "restarted leaf counted missing") 1 lm;
+    check_bits (tag ^ "its key answers 0") 0.0 answers.(0);
+    check_bits (tag ^ "global folds the other leaf only") 20.0 answers.(1)
+  done
 
 let () =
   Alcotest.run "agg"
@@ -526,6 +625,12 @@ let () =
         [
           Alcotest.test_case "two leaves == single process (bitwise)" `Quick
             test_aggregator_matches_single_process;
+          Alcotest.test_case "two leaves == single process, mid-cadence (bitwise)"
+            `Quick test_aggregator_matches_single_process_mid_cadence;
+          Alcotest.test_case "Global == fold of the batch's Key answers" `Quick
+            test_aggregator_global_folds_key_answers;
+          Alcotest.test_case "Global needs no leaf Snapshot" `Quick
+            test_aggregator_global_without_snapshot;
           Alcotest.test_case "transient summaries register no series" `Quick
             test_transient_summaries_register_no_series;
           Alcotest.test_case "killed leaf degrades to typed partial" `Quick
@@ -534,5 +639,7 @@ let () =
             test_aggregator_rejects_bad_key;
           Alcotest.test_case "leaf geometry mismatch refused" `Quick
             test_aggregator_geometry_mismatch;
+          Alcotest.test_case "restarted leaf with new geometry stays down" `Quick
+            test_aggregator_restarted_leaf_geometry;
         ] );
     ]
